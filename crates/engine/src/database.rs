@@ -8,8 +8,8 @@ use gbj_analyze::{
 };
 use gbj_catalog::{Assertion, Catalog};
 use gbj_core::{
-    eager_aggregate, reverse_transform, CostModel, EagerOutcome, Partition, PlanCost,
-    ReverseOutcome, Stats, TransformOptions,
+    eager_aggregate, reverse_transform, CostModel, EagerOutcome, Partition, ReverseOutcome,
+    TransformOptions,
 };
 use gbj_exec::{ExecOptions, Executor, ProfileNode, ResourceGuard, ResultSet};
 use gbj_expr::Expr;
@@ -17,8 +17,8 @@ use gbj_fd::FdContext;
 use gbj_optimizer::{shape_cost, CardTree, Optimizer, ShapeCost};
 use gbj_plan::{BlockRelation, LogicalPlan, QueryBlock};
 use gbj_sql::{parse_statements, Binder, BoundSelect, Statement};
-use gbj_storage::Storage;
-use gbj_types::{ColumnRef, Error, Result};
+use gbj_storage::{ColumnStats, Storage};
+use gbj_types::{ColumnRef, DataType, Error, Result};
 
 use crate::audit::{annotated_tree, audit_nodes, NodeAudit};
 use crate::feedback::{delta_from_profile, FeedbackDelta, FeedbackStore};
@@ -137,12 +137,6 @@ pub struct QueryReport {
     pub testfd: Option<String>,
     /// The partition display, when one was formed.
     pub partition: Option<String>,
-    /// Estimated cardinalities, when a cost decision was made.
-    pub stats: Option<Stats>,
-    /// Estimated cost of the lazy plan (block-level §7 model).
-    pub lazy_cost: Option<PlanCost>,
-    /// Estimated cost of the eager plan (block-level §7 model).
-    pub eager_cost: Option<PlanCost>,
     /// Itemised cost of the *lowered* lazy plan shape (per-operator
     /// walk; this is what the cost-based choice compares).
     pub lazy_shape: Option<ShapeCost>,
@@ -150,6 +144,11 @@ pub struct QueryReport {
     pub eager_shape: Option<ShapeCost>,
     /// The chosen, optimized plan.
     pub plan: LogicalPlan,
+    /// The chosen plan's per-node cardinality estimates, made once at
+    /// planning: feedback-aware, and clamped to the proven bounds when
+    /// [`EngineOptions::clamp_estimates`] is on. Every execution of
+    /// this report audits against it.
+    pub estimate: PlanEstimate,
     /// The optimized alternative plan (when a valid alternative exists).
     pub alternative: Option<LogicalPlan>,
     /// The rendered FD1/FD2 certificate (the replayed TestFD
@@ -175,15 +174,6 @@ impl QueryReport {
         ));
         if let Some(p) = &self.partition {
             out.push_str(&format!("partition:\n{p}\n"));
-        }
-        if let Some(s) = &self.stats {
-            out.push_str(&format!(
-                "estimates: |R1|={:.0} |R2|={:.0} groups(R1)={:.0} join={:.0} groups={:.0}\n",
-                s.r1_rows, s.r2_rows, s.r1_groups, s.join_rows, s.final_groups
-            ));
-        }
-        if let (Some(l), Some(e)) = (&self.lazy_cost, &self.eager_cost) {
-            out.push_str(&format!("cost: lazy={:.0} eager={:.0}\n", l.total, e.total));
         }
         if let (Some(l), Some(e)) = (&self.lazy_shape, &self.eager_shape) {
             out.push_str(&format!(
@@ -248,8 +238,9 @@ pub struct QueryMetrics {
     pub predicted_shipped_rows: Option<f64>,
     /// The measured per-operator profile (with counters and timings).
     pub profile: ProfileNode,
-    /// The estimator's per-node cardinality predictions (as of
-    /// planning: feedback-aware when facts were already learned).
+    /// The executed plan's per-node cardinality predictions: its
+    /// report's planning-time [`QueryReport::estimate`], not a
+    /// re-estimate after the run.
     pub estimates: PlanEstimate,
     /// The facts this run's measurements would teach the feedback
     /// store. Already absorbed when [`EngineOptions::adaptive`] is on;
@@ -565,58 +556,37 @@ impl Database {
     /// Run a SELECT, returning rows, the execution profile and the
     /// planning report.
     pub fn query_report(&self, sql: &str) -> Result<(ResultSet, ProfileNode, QueryReport)> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("query() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        self.run_select(&bound, "query")
+        let bound = self.bind_select_sql(sql, "query")?;
+        let (rows, report, metrics) = self.run_select(&bound, &self.default_guard(), "query")?;
+        Ok((rows, metrics.profile, report))
     }
 
-    /// The shared SELECT path: plan (timed), execute (timed and
-    /// metered), and record [`QueryMetrics`] for
-    /// [`Database::last_query_metrics`].
+    /// The SELECT prologue of the string entry points: parse, insist on
+    /// a SELECT (naming `entry` in the error), bind.
+    fn bind_select_sql(&self, sql: &str, entry: &str) -> Result<BoundSelect> {
+        let Statement::Select(select) = gbj_sql::parse_sql(sql)? else {
+            return Err(Error::Unsupported(format!("{entry}() expects a SELECT")));
+        };
+        Binder::new(self.storage.catalog()).bind_select(&select)
+    }
+
+    /// A guard carrying only the configured resource limits.
+    fn default_guard(&self) -> ResourceGuard {
+        ResourceGuard::new(self.options.exec.limits)
+    }
+
+    /// Plan (timed), then run through [`Database::run_planned`].
     fn run_select(
         &self,
         bound: &BoundSelect,
+        guard: &ResourceGuard,
         sql_kind: &'static str,
-    ) -> Result<(ResultSet, ProfileNode, QueryReport)> {
+    ) -> Result<(ResultSet, QueryReport, QueryMetrics)> {
         let plan_start = Instant::now();
         let report = self.plan_bound(bound)?;
         let planning = plan_start.elapsed();
-        let exec_opts = self.exec_options_for(&report);
-        let executor = Executor::with_options(&self.storage, exec_opts);
-        let exec_start = Instant::now();
-        let (rows, profile, summary) = executor.execute_metered(&report.plan)?;
-        let execution = exec_start.elapsed();
-        let fb = self.feedback_snapshot();
-        let mut estimates =
-            Estimator::with_feedback(&self.storage, &fb).estimate_plan(&report.plan);
-        if self.options.clamp_estimates {
-            clamp_plan_estimate(&mut estimates, &self.bound_tree_for(&report.plan));
-        }
-        let predicted_shipped_rows = self.predict_shipped(&report.plan, &estimates, &exec_opts);
-        let feedback = delta_from_profile(&report.plan, &profile);
-        if self.options.adaptive {
-            self.absorb_feedback(&feedback);
-        }
-        self.record_metrics(QueryMetrics {
-            sql_kind,
-            choice: report.choice,
-            planning,
-            execution,
-            rows: rows.len(),
-            peak_memory_bytes: summary.peak_memory_bytes,
-            shards: exec_opts.shards.get(),
-            shipped_rows: summary.shipped_rows,
-            shipped_bytes: summary.shipped_bytes,
-            predicted_shipped_rows,
-            profile: profile.clone(),
-            estimates,
-            feedback,
-        });
-        Ok((rows, profile, report))
+        let (rows, metrics) = self.run_planned(&report, planning, guard, sql_kind)?;
+        Ok((rows, report, metrics))
     }
 
     /// Per-query executor options: the configured options plus the
@@ -643,7 +613,7 @@ impl Database {
         if shards > 1 && gbj_exec::shard_supported(plan, exec_opts) {
             let dist = gbj_optimizer::plan_distribution(
                 plan,
-                &card_tree(estimates),
+                &estimates.card_tree(),
                 shards,
                 exec_opts.combiner,
                 &|t| self.storage.partition_key(t).map(<[usize]>::to_vec),
@@ -666,58 +636,45 @@ impl Database {
         sql: &str,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, QueryReport, QueryMetrics)> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported(
-                "query_with_guard() expects a SELECT".into(),
-            ));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        let plan_start = Instant::now();
-        let report = self.plan_bound(&bound)?;
-        let planning = plan_start.elapsed();
-        let (rows, metrics) = self.run_planned(&report, planning, guard)?;
-        Ok((rows, report, metrics))
+        let bound = self.bind_select_sql(sql, "query_with_guard")?;
+        self.run_select(&bound, guard, "query")
     }
 
     /// Execute an already-planned query (e.g. a bound-plan cache hit)
     /// under a caller-supplied guard. Planning time is reported as zero
-    /// — the cache paid it once at miss time.
+    /// — the cache paid it once at miss time — and the audit reads the
+    /// report's planning-time estimate.
     pub fn execute_report_guarded(
         &self,
         report: &QueryReport,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, QueryMetrics)> {
-        self.run_planned(report, Duration::ZERO, guard)
+        self.run_planned(report, Duration::ZERO, guard, "query")
     }
 
-    /// Shared guarded execution tail: execute (timed and metered),
-    /// then build and record [`QueryMetrics`].
+    /// The one execution tail: execute (timed and metered), audit
+    /// against the report's estimate, then build and record
+    /// [`QueryMetrics`].
     fn run_planned(
         &self,
         report: &QueryReport,
         planning: Duration,
         guard: &ResourceGuard,
+        sql_kind: &'static str,
     ) -> Result<(ResultSet, QueryMetrics)> {
         let exec_opts = self.exec_options_for(report);
         let executor = Executor::with_options(&self.storage, exec_opts);
         let exec_start = Instant::now();
         let (rows, profile, summary) = executor.execute_metered_with_guard(&report.plan, guard)?;
         let execution = exec_start.elapsed();
-        let fb = self.feedback_snapshot();
-        let mut estimates =
-            Estimator::with_feedback(&self.storage, &fb).estimate_plan(&report.plan);
-        if self.options.clamp_estimates {
-            clamp_plan_estimate(&mut estimates, &self.bound_tree_for(&report.plan));
-        }
-        let predicted_shipped_rows = self.predict_shipped(&report.plan, &estimates, &exec_opts);
+        let predicted_shipped_rows =
+            self.predict_shipped(&report.plan, &report.estimate, &exec_opts);
         let feedback = delta_from_profile(&report.plan, &profile);
         if self.options.adaptive {
             self.absorb_feedback(&feedback);
         }
         let metrics = QueryMetrics {
-            sql_kind: "query",
+            sql_kind,
             choice: report.choice,
             planning,
             execution,
@@ -728,7 +685,7 @@ impl Database {
             shipped_bytes: summary.shipped_bytes,
             predicted_shipped_rows,
             profile,
-            estimates,
+            estimates: report.estimate.clone(),
             feedback,
         };
         self.record_metrics(metrics.clone());
@@ -737,25 +694,14 @@ impl Database {
 
     /// Plan a SELECT without executing it.
     pub fn plan_query(&self, sql: &str) -> Result<QueryReport> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("plan_query() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        self.plan_bound(&bound)
+        self.plan_bound(&self.bind_select_sql(sql, "plan_query")?)
     }
 
     /// Run the static analyzer over a SELECT without executing it:
     /// passes 1–3 ([`gbj_analyze`]) on the planned query, including the
     /// FD-derivation audit of the eager-aggregation attempt.
     pub fn lint_select(&self, sql: &str) -> Result<gbj_analyze::Report> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("lint_select() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
+        let bound = self.bind_select_sql(sql, "lint_select")?;
         Ok(self.lint_bound(&bound, sql)?.0)
     }
 
@@ -917,7 +863,7 @@ impl Database {
             Statement::Select(select) => {
                 let binder = Binder::new(self.storage.catalog());
                 let bound = binder.bind_select(&select)?;
-                let (rows, _, _) = self.run_select(&bound, "select")?;
+                let (rows, _, _) = self.run_select(&bound, &self.default_guard(), "select")?;
                 Ok(QueryOutput::Rows(rows))
             }
             Statement::Explain {
@@ -940,21 +886,18 @@ impl Database {
                     return Ok(QueryOutput::Explain(text));
                 }
                 if analyze {
-                    let (rows, _, report) = self.run_select(&bound, "explain analyze")?;
+                    let (rows, report, m) =
+                        self.run_select(&bound, &self.default_guard(), "explain analyze")?;
                     let mut text = report.explain();
-                    // The run just recorded its metrics; render the
-                    // measured section from them. Planning and execution
-                    // time are separate labeled lines — planning can
-                    // dominate on small data and would otherwise hide
-                    // inside one combined number.
-                    if let Some(m) = self.last_query_metrics() {
-                        text.push_str(&format!("planning time: {:?}\n", m.planning));
-                        text.push_str(&format!("execution time: {:?}\n", m.execution));
-                        text.push_str(&format!("actual rows: {}\n", rows.len()));
-                        text.push_str(&format!("peak memory: {} B\n", m.peak_memory_bytes));
-                        text.push_str("estimate vs actual:\n");
-                        text.push_str(&annotated_tree(&m.audits()));
-                    }
+                    // Planning and execution time are separate labeled
+                    // lines — planning can dominate on small data and
+                    // would otherwise hide inside one combined number.
+                    text.push_str(&format!("planning time: {:?}\n", m.planning));
+                    text.push_str(&format!("execution time: {:?}\n", m.execution));
+                    text.push_str(&format!("actual rows: {}\n", rows.len()));
+                    text.push_str(&format!("peak memory: {} B\n", m.peak_memory_bytes));
+                    text.push_str("estimate vs actual:\n");
+                    text.push_str(&annotated_tree(&m.audits()));
                     Ok(QueryOutput::Explain(text))
                 } else {
                     let report = self.plan_bound(&bound)?;
@@ -1068,7 +1011,6 @@ impl Database {
                     return self.choose_plans(
                         &merged,
                         block,
-                        &fd_ctx,
                         Some(testfd.to_string()),
                         PlanChoice::Unfolded,
                         bound,
@@ -1076,22 +1018,7 @@ impl Database {
                 }
                 ReverseOutcome::NotApplicable { reason } => {
                     let plan = self.lower(block, &bound.order_by)?;
-                    return Ok(QueryReport {
-                        choice: PlanChoice::Lazy,
-                        reason: format!("view not unfolded: {reason}"),
-                        testfd: None,
-                        partition: None,
-                        stats: None,
-                        lazy_cost: None,
-                        eager_cost: None,
-                        lazy_shape: None,
-                        eager_shape: None,
-                        plan,
-                        alternative: None,
-                        certificate: None,
-                        domains: String::new(),
-                        pruning: PruningFacts::default(),
-                    });
+                    return Ok(self.lazy_only(plan, format!("view not unfolded: {reason}"), None));
                 }
             }
         }
@@ -1123,7 +1050,7 @@ impl Database {
                 let constraints =
                     gbj_analyze::fd_audit::replay_constraints(&fd_ctx, &transform_opts);
                 let certificate = FdCertificate::replay(&partition, &fd_ctx, &constraints);
-                let mut report = self.choose_with_partition(
+                let mut report = self.decide(
                     block,
                     &eager_block,
                     &partition,
@@ -1136,23 +1063,33 @@ impl Database {
             }
             EagerOutcome::NotApplicable { reason, testfd } => {
                 let plan = self.lower(block, &bound.order_by)?;
-                Ok(QueryReport {
-                    choice: PlanChoice::Lazy,
-                    reason: format!("transformation not applied: {reason}"),
-                    testfd: testfd.map(|t| t.to_string()),
-                    partition: None,
-                    stats: None,
-                    lazy_cost: None,
-                    eager_cost: None,
-                    lazy_shape: None,
-                    eager_shape: None,
+                Ok(self.lazy_only(
                     plan,
-                    alternative: None,
-                    certificate: None,
-                    domains: String::new(),
-                    pruning: PruningFacts::default(),
-                })
+                    format!("transformation not applied: {reason}"),
+                    testfd.map(|t| t.to_string()),
+                ))
             }
+        }
+    }
+
+    /// The report of a query with no alternative shape: the lazy plan
+    /// and its estimate.
+    fn lazy_only(&self, plan: LogicalPlan, reason: String, testfd: Option<String>) -> QueryReport {
+        let feedback = self.feedback_snapshot();
+        let estimate = self.estimate(&Estimator::with_feedback(&self.storage, &feedback), &plan);
+        QueryReport {
+            choice: PlanChoice::Lazy,
+            reason,
+            testfd,
+            partition: None,
+            lazy_shape: None,
+            eager_shape: None,
+            plan,
+            estimate,
+            alternative: None,
+            certificate: None,
+            domains: String::new(),
+            pruning: PruningFacts::default(),
         }
     }
 
@@ -1162,12 +1099,11 @@ impl Database {
         &self,
         lazy_block: &QueryBlock,
         eager_block: &QueryBlock,
-        _fd_ctx: &FdContext,
         testfd: Option<String>,
         eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
-        // Partition the merged (lazy) block to estimate stats: R1 = the
+        // Partition the merged (lazy) block for the report: R1 = the
         // relations of the view side = relations not present in the
         // eager block's base list.
         let eager_bases: std::collections::BTreeSet<String> = eager_block
@@ -1193,25 +1129,6 @@ impl Database {
         )
     }
 
-    fn choose_with_partition(
-        &self,
-        lazy_block: &QueryBlock,
-        eager_block: &QueryBlock,
-        partition: &Partition,
-        testfd: Option<String>,
-        eager_choice: PlanChoice,
-        bound: &BoundSelect,
-    ) -> Result<QueryReport> {
-        self.decide(
-            lazy_block,
-            eager_block,
-            partition,
-            testfd,
-            eager_choice,
-            bound,
-        )
-    }
-
     fn decide(
         &self,
         lazy_block: &QueryBlock,
@@ -1221,32 +1138,22 @@ impl Database {
         eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
-        let tables = base_tables(lazy_block);
         let feedback = self.feedback_snapshot();
         let estimator = Estimator::with_feedback(&self.storage, &feedback);
-        // The block-level §7 summary (kept for EXPLAIN's `estimates:` /
-        // `cost:` lines and the bench reporters)…
-        let stats = estimator.estimate(partition, &tables);
-        let lazy_cost = self.options.cost_model.lazy(&stats);
-        let eager_cost = self.options.cost_model.eager(&stats);
-
-        // …and the decision itself: lower *both* candidates to their
-        // optimized physical-ready shapes, attach per-node (feedback-
-        // aware) cardinality estimates, and fold the cost model over
-        // every operator each shape would actually run.
+        // Lower *both* candidates to their optimized physical-ready
+        // shapes, attach per-node (feedback-aware, bound-clamped)
+        // cardinality estimates, and fold the cost model over every
+        // operator each shape would actually run.
         let lazy_plan = self.lower(lazy_block, &bound.order_by)?;
         let eager_plan = self.lower(eager_block, &bound.order_by)?;
-        let mut lazy_card = card_tree(&estimator.estimate_plan(&lazy_plan));
-        let mut eager_card = card_tree(&estimator.estimate_plan(&eager_plan));
-        if self.options.clamp_estimates {
-            // Both candidates costed against bound-clamped cardinality
-            // trees: a shape can never be charged more rows at an
-            // operator than the domains prove possible.
-            lazy_card.clamp(&self.bound_tree_for(&lazy_plan));
-            eager_card.clamp(&self.bound_tree_for(&eager_plan));
-        }
-        let lazy_shape = shape_cost(&self.options.cost_model, &lazy_plan, &lazy_card);
-        let eager_shape = shape_cost(&self.options.cost_model, &eager_plan, &eager_card);
+        let lazy_est = self.estimate(&estimator, &lazy_plan);
+        let eager_est = self.estimate(&estimator, &eager_plan);
+        let lazy_shape = shape_cost(&self.options.cost_model, &lazy_plan, &lazy_est.card_tree());
+        let eager_shape = shape_cost(
+            &self.options.cost_model,
+            &eager_plan,
+            &eager_est.card_tree(),
+        );
 
         let (pick_eager, why) = match self.options.policy {
             PushdownPolicy::Always => (true, "policy = Always".to_string()),
@@ -1265,22 +1172,20 @@ impl Database {
             }
         };
 
-        let (choice, plan, alternative) = if pick_eager {
-            (eager_choice, eager_plan, Some(lazy_plan))
+        let (choice, plan, estimate, alternative) = if pick_eager {
+            (eager_choice, eager_plan, eager_est, Some(lazy_plan))
         } else {
-            (PlanChoice::Lazy, lazy_plan, Some(eager_plan))
+            (PlanChoice::Lazy, lazy_plan, lazy_est, Some(eager_plan))
         };
         Ok(QueryReport {
             choice,
             reason: format!("transformation valid; {why}"),
             testfd,
             partition: Some(partition.to_string()),
-            stats: Some(stats),
-            lazy_cost: Some(lazy_cost),
-            eager_cost: Some(eager_cost),
             lazy_shape: Some(lazy_shape),
             eager_shape: Some(eager_shape),
             plan,
+            estimate,
             alternative,
             certificate: None,
             domains: String::new(),
@@ -1306,11 +1211,24 @@ impl Database {
         Optimizer::standard().optimize(&plan)
     }
 
-    /// The proven cardinality upper-bound tree for a plan: catalog
-    /// seeds met with per-column facts scanned from the stored rows of
-    /// the plan's base tables, pushed through the range pass.
-    /// `INFINITY` marks nodes with no proven bound.
-    fn bound_tree_for(&self, plan: &LogicalPlan) -> CardTree {
+    /// A plan's per-node estimates, clamped to its proven bounds when
+    /// [`EngineOptions::clamp_estimates`] is on: a plan can never be
+    /// charged more rows at an operator than the domains prove
+    /// possible.
+    fn estimate(&self, estimator: &Estimator<'_>, plan: &LogicalPlan) -> PlanEstimate {
+        let mut estimate = estimator.estimate_plan(plan);
+        if self.options.clamp_estimates {
+            estimate.clamp(&self.cardinality_bounds(plan));
+        }
+        estimate
+    }
+
+    /// The proven cardinality upper-bound tree for a plan (the clamp
+    /// [`QueryReport::estimate`] applies): catalog seeds met with each
+    /// scanned table's cached per-column summary, pushed through the
+    /// range pass. `INFINITY` marks nodes with no proven bound.
+    #[must_use]
+    pub fn cardinality_bounds(&self, plan: &LogicalPlan) -> CardTree {
         let mut seeds = SeedDomains::from_catalog(self.storage.catalog());
         let mut tables = std::collections::BTreeSet::new();
         plan_scan_tables(plan, &mut tables);
@@ -1321,9 +1239,8 @@ impl Database {
             ) else {
                 continue;
             };
-            for (idx, col) in def.columns.iter().enumerate() {
-                let observed = observed_domain(data, idx, col.data_type);
-                seeds.merge(&def.name, &col.name, &observed);
+            for (col, stats) in def.columns.iter().zip(&data.stats().columns) {
+                seeds.merge(&def.name, &col.name, &summary_domain(stats, col.data_type));
             }
         }
         let analysis = analyze_plan(plan, &seeds);
@@ -1377,54 +1294,15 @@ fn has_aggregate_below_join(plan: &LogicalPlan) -> bool {
     walk(plan, false)
 }
 
-/// Convert the estimator's per-node predictions into the optimizer's
-/// shape-congruent cardinality tree.
-fn card_tree(e: &PlanEstimate) -> CardTree {
-    CardTree {
-        rows: e.rows,
-        children: e.children.iter().map(card_tree).collect(),
-    }
-}
-
-/// The per-column facts actually observed in a stored table's rows:
-/// min/max (numeric), the distinct non-NULL count, whether any NULL is
+/// The per-column facts a stored table's summary proves: min/max
+/// (numeric), the distinct non-NULL count, whether any NULL is
 /// present, and (for small string columns) the exact value set. Met
 /// with the catalog seed, these give the range pass the tightest sound
 /// base domains for estimate clamping.
-fn observed_domain(
-    data: &gbj_storage::Table,
-    idx: usize,
-    data_type: gbj_types::DataType,
-) -> ColumnDomain {
-    use gbj_types::Value;
-    let mut lo: Option<f64> = None;
-    let mut hi: Option<f64> = None;
-    let mut saw_null = false;
-    let mut distinct: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for row in data.value_rows() {
-        let Some(v) = row.get(idx) else { continue };
-        match v {
-            Value::Null => saw_null = true,
-            other => {
-                let n = match other {
-                    Value::Int(i) => Some(*i as f64),
-                    Value::Float(f) => Some(*f),
-                    _ => None,
-                };
-                if let Some(n) = n {
-                    lo = Some(lo.map_or(n, |l| l.min(n)));
-                    hi = Some(hi.map_or(n, |h| h.max(n)));
-                }
-                distinct.insert(match other {
-                    Value::Str(s) => s.clone(),
-                    other => format!("{other:?}"),
-                });
-            }
-        }
-    }
-    let integral = matches!(data_type, gbj_types::DataType::Int64);
-    let interval = match data_type {
-        gbj_types::DataType::Int64 | gbj_types::DataType::Float64 => Some(match (lo, hi) {
+fn summary_domain(stats: &ColumnStats, data_type: DataType) -> ColumnDomain {
+    let integral = data_type == DataType::Int64;
+    let interval = matches!(data_type, DataType::Int64 | DataType::Float64).then(|| {
+        match (stats.min, stats.max) {
             (Some(lo), Some(hi)) => gbj_analyze::Interval {
                 lo: Some(lo),
                 hi: Some(hi),
@@ -1432,21 +1310,22 @@ fn observed_domain(
             },
             // No non-NULL value stored: the non-NULL domain is empty.
             _ => gbj_analyze::Interval::empty(integral),
-        }),
-        _ => None,
-    };
-    let values = (data_type == gbj_types::DataType::Utf8
-        && distinct.len() <= gbj_analyze::domain::MAX_VALUE_SET)
-        .then(|| distinct.clone());
+        }
+    });
+    let values = stats
+        .values
+        .as_ref()
+        .filter(|v| data_type == DataType::Utf8 && v.len() <= gbj_analyze::domain::MAX_VALUE_SET)
+        .cloned();
     ColumnDomain {
         interval,
         values,
-        nullability: if saw_null {
+        nullability: if stats.nulls > 0 {
             Nullability::Maybe
         } else {
             Nullability::Never
         },
-        ndv: Some(distinct.len() as f64),
+        ndv: Some(stats.distinct as f64),
     }
 }
 
@@ -1551,17 +1430,6 @@ fn groups_bound_from(node: &gbj_analyze::DomainNode, plan: &LogicalPlan) -> Opti
         product *= dom.group_ndv_upper()?;
     }
     Some(product)
-}
-
-/// Clamp the estimator's per-node predictions to the proven bound tree
-/// (shape-congruent; `INFINITY` = unbounded).
-fn clamp_plan_estimate(est: &mut PlanEstimate, bound: &CardTree) {
-    if bound.rows.is_finite() && est.rows > bound.rows {
-        est.rows = bound.rows;
-    }
-    for (child, b) in est.children.iter_mut().zip(&bound.children) {
-        clamp_plan_estimate(child, b);
-    }
 }
 
 /// The (qualifier, base table) pairs of a block, recursively.

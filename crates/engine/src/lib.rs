@@ -19,11 +19,15 @@
 //! The decision point is the paper's contribution: for every grouped
 //! join query the engine attempts the group-by-before-join rewrite
 //! (`gbj-core`), and — when `TestFD` proves it valid — chooses between
-//! the lazy (`E1`) and eager (`E2`) plans with the Section 7 cost model
-//! over estimated cardinalities ([`stats`]). Queries over aggregated
-//! views additionally get the Section 8 reverse transformation as a
+//! the lazy (`E1`) and eager (`E2`) plans by costing each lowered plan
+//! with [`gbj_optimizer::shape_cost`] over per-node estimated
+//! cardinalities ([`stats`]). The estimates read each table version's
+//! cached column summary ([`gbj_storage::TableStats`]); the chosen
+//! plan's estimate is made once and carried in its [`QueryReport`] to
+//! the post-execution audit. Queries over aggregated views
+//! additionally get the Section 8 reverse transformation as a
 //! candidate. `EXPLAIN` prints both candidate plans, the TestFD trace
-//! and the cost comparison.
+//! and the shape-cost comparison.
 
 pub mod audit;
 pub mod database;
@@ -35,4 +39,5 @@ pub use database::{
     Database, EngineOptions, PlanChoice, PushdownPolicy, QueryMetrics, QueryOutput, QueryReport,
 };
 pub use feedback::{delta_from_profile, FeedbackDelta, FeedbackStore};
-pub use stats::{q_error, DistinctSketch, EquiDepthHistogram, Estimator, PlanEstimate};
+pub use gbj_storage::EquiDepthHistogram;
+pub use stats::{q_error, DistinctSketch, Estimator, PlanEstimate};

@@ -2,7 +2,7 @@
 //!
 //! Classic System-R-style estimates over the in-memory data:
 //!
-//! * per-column NDV (number of distinct values) by scanning;
+//! * per-column NDV (number of distinct values);
 //! * equality-with-constant selectivity `1 / ndv(col)`;
 //! * equi-join selectivity `1 / max(ndv(a), ndv(b))`;
 //! * integer range predicates via a per-column **equi-depth
@@ -14,127 +14,34 @@
 //!   independence-assumption overestimate disappears for correlated
 //!   columns), `min(rows, Π ndv)` otherwise.
 //!
-//! These feed [`gbj_core::Stats`], which the
-//! [`CostModel`](gbj_core::CostModel) compares for the lazy and eager
-//! plans. When planned with [`Estimator::with_feedback`], learned facts
-//! from past measured executions
-//! ([`FeedbackStore`](crate::FeedbackStore)) override the model
+//! NDVs and histograms come from the table version's cached
+//! [`TableStats`](gbj_storage::TableStats); only the joint sketch,
+//! which depends on the query's column set, scans per call.
+//!
+//! [`Estimator::estimate_plan`] attaches one estimate to every node of
+//! a lowered plan. The engine costs each candidate shape over those
+//! estimates with [`gbj_optimizer::shape_cost`], and the chosen plan's
+//! estimate travels in its `QueryReport` to the post-execution audit.
+//! When planned with [`Estimator::with_feedback`], learned facts from
+//! past measured executions ([`FeedbackStore`]) override the model
 //! assumptions: an observed join selectivity replaces the `1/max(ndv)`
 //! guess and an observed group count replaces the distinct estimate —
 //! this is the adaptive half of the cost-based eager/lazy choice.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use gbj_core::{Partition, Stats};
 use gbj_expr::{conjuncts, AtomClass, BinaryOp, Expr};
+use gbj_optimizer::CardTree;
 use gbj_plan::LogicalPlan;
-use gbj_storage::Storage;
+use gbj_storage::stats::DEFAULT_SELECTIVITY;
+use gbj_storage::{ColumnStats, EquiDepthHistogram, Storage};
 use gbj_types::{ColumnRef, GroupKey, Value};
 
 use crate::feedback::{group_signature, join_signature, FeedbackStore};
 
-/// Selectivity assumed for predicates the estimator cannot analyse.
-const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
-
-/// Buckets per equi-depth histogram.
-const HISTOGRAM_BUCKETS: usize = 32;
-
 /// KMV sketch size: exact distinct counts below this, estimated above.
 const SKETCH_K: usize = 1024;
-
-/// An equi-depth (equi-height) histogram over one integer column:
-/// `buckets` upper bounds chosen so each bucket holds ~the same number
-/// of values. Estimates the selectivity of `col < x` and friends by
-/// counting full buckets below `x` and linearly interpolating inside
-/// the straddling bucket. NULLs are excluded from the buckets (a range
-/// predicate is never *true* of NULL) and discount the selectivity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiDepthHistogram {
-    min: i64,
-    /// Upper bound of each bucket (ascending, last = column max).
-    bounds: Vec<i64>,
-    non_null: usize,
-    total: usize,
-}
-
-impl EquiDepthHistogram {
-    /// Build from a column's values. Returns `None` when there are no
-    /// non-NULL integer values to summarise.
-    #[must_use]
-    pub fn build(values: &[Option<i64>], buckets: usize) -> Option<EquiDepthHistogram> {
-        let total = values.len();
-        let mut ints: Vec<i64> = values.iter().filter_map(|v| *v).collect();
-        if ints.is_empty() {
-            return None;
-        }
-        ints.sort_unstable();
-        let non_null = ints.len();
-        let buckets = buckets.max(1).min(non_null);
-        let mut bounds = Vec::with_capacity(buckets);
-        for b in 1..=buckets {
-            // Rank of this bucket's upper bound (1-based, inclusive).
-            let rank = (b * non_null).div_ceil(buckets);
-            if let Some(v) = ints.get(rank.saturating_sub(1)) {
-                bounds.push(*v);
-            }
-        }
-        let min = ints.first().copied()?;
-        Some(EquiDepthHistogram {
-            min,
-            bounds,
-            non_null,
-            total,
-        })
-    }
-
-    /// Estimated fraction of **non-NULL** values `≤ x`.
-    #[must_use]
-    pub fn fraction_le(&self, x: i64) -> f64 {
-        if x < self.min {
-            return 0.0;
-        }
-        let n = self.bounds.len() as f64;
-        let mut lower = self.min;
-        for (i, &upper) in self.bounds.iter().enumerate() {
-            if x >= upper {
-                lower = upper;
-                continue;
-            }
-            // x falls inside bucket i: interpolate linearly.
-            let width = (upper - lower) as f64;
-            let within = if width <= 0.0 {
-                1.0
-            } else {
-                ((x - lower) as f64 / width).clamp(0.0, 1.0)
-            };
-            return ((i as f64 + within) / n).clamp(0.0, 1.0);
-        }
-        1.0
-    }
-
-    /// Selectivity of `col op literal` over the whole column (NULLs
-    /// count against: they never satisfy a range predicate).
-    #[must_use]
-    pub fn selectivity(&self, op: BinaryOp, lit: i64) -> f64 {
-        let le = self.fraction_le(lit);
-        // `fraction_lt` via the predecessor; exact enough for integers.
-        let lt = self.fraction_le(lit.saturating_sub(1));
-        let frac = match op {
-            BinaryOp::Lt => lt,
-            BinaryOp::LtEq => le,
-            BinaryOp::Gt => 1.0 - le,
-            BinaryOp::GtEq => 1.0 - lt,
-            _ => return DEFAULT_SELECTIVITY,
-        };
-        let null_discount = if self.total == 0 {
-            1.0
-        } else {
-            self.non_null as f64 / self.total as f64
-        };
-        (frac * null_discount).clamp(0.0, 1.0)
-    }
-}
 
 /// A KMV (k-minimum-values) distinct-count sketch: keeps the `k`
 /// smallest 64-bit hashes seen. Below `k` distinct values the count is
@@ -206,6 +113,30 @@ pub struct PlanEstimate {
     pub children: Vec<PlanEstimate>,
 }
 
+impl PlanEstimate {
+    /// Clamp every node's estimate to a proven upper bound from a
+    /// shape-congruent bound tree (`INFINITY` = no bound at that node).
+    /// Bounds are upper bounds on the *true* cardinality, so
+    /// `min(estimate, bound)` can only move estimates toward the truth.
+    pub fn clamp(&mut self, bound: &CardTree) {
+        if bound.rows.is_finite() && self.rows > bound.rows {
+            self.rows = bound.rows;
+        }
+        for (child, b) in self.children.iter_mut().zip(&bound.children) {
+            child.clamp(b);
+        }
+    }
+
+    /// The bare cardinality tree [`gbj_optimizer::shape_cost`] folds.
+    #[must_use]
+    pub(crate) fn card_tree(&self) -> CardTree {
+        CardTree {
+            rows: self.rows,
+            children: self.children.iter().map(PlanEstimate::card_tree).collect(),
+        }
+    }
+}
+
 /// Estimates cardinalities against live storage, optionally corrected
 /// by learned feedback facts.
 pub struct Estimator<'a> {
@@ -245,18 +176,19 @@ impl<'a> Estimator<'a> {
     /// one value, matching `=ⁿ` grouping).
     #[must_use]
     pub fn column_ndv(&self, table: &str, column: &str) -> f64 {
-        let Some(data) = self.storage.table_data(table) else {
-            return 1.0;
-        };
-        let Ok(idx) = data.schema().index_of(&ColumnRef::bare(column.to_string())) else {
-            return 1.0;
-        };
-        let mut seen = HashSet::new();
-        for row in data.value_rows() {
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            seen.insert(GroupKey(vec![v]));
-        }
-        (seen.len() as f64).max(1.0)
+        self.column_stats(table, column)
+            .map_or(1.0, |c| c.ndv() as f64)
+            .max(1.0)
+    }
+
+    /// The cached summary of one base-table column.
+    fn column_stats(&self, table: &str, column: &str) -> Option<&'a ColumnStats> {
+        let data = self.storage.table_data(table)?;
+        let idx = data
+            .schema()
+            .index_of(&ColumnRef::bare(column.to_string()))
+            .ok()?;
+        data.stats().columns.get(idx)
     }
 
     /// NDV of a (qualified) column, given the mapping from qualifier to
@@ -311,24 +243,11 @@ impl<'a> Estimator<'a> {
         Some(hist.selectivity(op, lit))
     }
 
-    /// Build the equi-depth histogram for one integer column (scanning
-    /// the live data; `None` when the table/column is missing or holds
-    /// no non-NULL integers).
+    /// The equi-depth histogram of one integer column (`None` when the
+    /// table/column is missing or holds no non-NULL integers).
     #[must_use]
-    pub fn histogram(&self, table: &str, column: &str) -> Option<EquiDepthHistogram> {
-        let data = self.storage.table_data(table)?;
-        let idx = data
-            .schema()
-            .index_of(&ColumnRef::bare(column.to_string()))
-            .ok()?;
-        let values: Vec<Option<i64>> = data
-            .value_rows()
-            .map(|row| match row.get(idx) {
-                Some(Value::Int(v)) => Some(*v),
-                _ => None,
-            })
-            .collect();
-        EquiDepthHistogram::build(&values, HISTOGRAM_BUCKETS)
+    pub fn histogram(&self, table: &str, column: &str) -> Option<&'a EquiDepthHistogram> {
+        self.column_stats(table, column)?.histogram.as_ref()
     }
 
     /// Joint distinct count of a multi-column set via a KMV sketch over
@@ -373,70 +292,10 @@ impl<'a> Estimator<'a> {
         Some(sketch.estimate().max(1.0))
     }
 
-    /// Estimate the side cardinality: product of member table rows times
-    /// the selectivity of the side's local predicate.
-    fn side_rows(
-        &self,
-        qualifiers: &std::collections::BTreeSet<String>,
-        local_preds: &[Expr],
-        tables: &[(String, String)],
-    ) -> f64 {
-        let mut rows = 1.0;
-        for q in qualifiers {
-            if let Some((_, table)) = tables.iter().find(|(qual, _)| qual.eq_ignore_ascii_case(q)) {
-                rows *= self.table_rows(table).max(1.0);
-            }
-        }
-        for p in local_preds {
-            rows *= self.selectivity(p, tables);
-        }
-        rows.max(1.0)
-    }
-
-    /// Distinct-group estimate for a column set within `rows` rows:
-    /// the joint-sketch count when available, else `min(rows, Π ndv)`.
-    fn group_count(
-        &self,
-        cols: &std::collections::BTreeSet<ColumnRef>,
-        rows: f64,
-        tables: &[(String, String)],
-    ) -> f64 {
-        self.column_set_groups(cols, rows, tables)
-    }
-
-    /// Build the [`Stats`] for one partitioned query.
-    ///
-    /// `tables` maps each qualifier to its base-table name (the engine
-    /// collects it from the block's relations).
-    #[must_use]
-    pub fn estimate(&self, partition: &Partition, tables: &[(String, String)]) -> Stats {
-        let r1_rows = self.side_rows(&partition.r1, &partition.parts.c1, tables);
-        let r2_rows = self.side_rows(&partition.r2, &partition.parts.c2, tables);
-        let r1_groups = self.group_count(&partition.ga1_plus, r1_rows, tables);
-
-        let mut join_sel = 1.0;
-        for c0 in &partition.parts.c0 {
-            join_sel *= self.selectivity(c0, tables);
-        }
-        let join_rows = (r1_rows * r2_rows * join_sel).max(1.0);
-        let final_groups = self
-            .group_count(&partition.grouping_columns(), join_rows, tables)
-            .max(1.0);
-
-        Stats {
-            r1_rows,
-            r2_rows,
-            r1_groups,
-            join_rows,
-            final_groups,
-        }
-    }
-
     /// Estimate the output cardinality of every node in a physical-ready
-    /// logical plan, mirroring the tree shape. The same System-R rules
-    /// as [`Estimator::estimate`] apply per node: scans report table
-    /// rows, filters and joins multiply conjunct selectivities, and
-    /// grouping is capped by `min(input, Π ndv)`.
+    /// logical plan, mirroring the tree shape: scans report table rows,
+    /// filters and joins multiply conjunct selectivities, and grouping
+    /// is capped by `min(input, Π ndv)`.
     #[must_use]
     pub fn estimate_plan(&self, plan: &LogicalPlan) -> PlanEstimate {
         let mut tables = Vec::new();
@@ -619,7 +478,6 @@ pub(crate) fn collect_plan_tables(plan: &LogicalPlan, out: &mut Vec<(String, Str
 mod tests {
     use super::*;
     use gbj_catalog::{ColumnDef, Constraint, TableDef};
-    use gbj_plan::{BlockRelation, QueryBlock, SelectItem};
     use gbj_types::{DataType, Value};
 
     /// Example 1 at 1/10 scale: 1000 employees over 10 departments.
@@ -661,56 +519,6 @@ mod tests {
         s
     }
 
-    fn example1_partition() -> Partition {
-        let schema_e = gbj_types::Schema::new(vec![
-            gbj_types::Field::new("EmpID", DataType::Int64, false).with_qualifier("E"),
-            gbj_types::Field::new("DeptID", DataType::Int64, true).with_qualifier("E"),
-        ]);
-        let schema_d = gbj_types::Schema::new(vec![
-            gbj_types::Field::new("DeptID", DataType::Int64, false).with_qualifier("D"),
-            gbj_types::Field::new("Name", DataType::Utf8, true).with_qualifier("D"),
-        ]);
-        let mut b = QueryBlock::new(vec![
-            BlockRelation::Base {
-                table: "Employee".into(),
-                qualifier: "E".into(),
-                schema: schema_e,
-            },
-            BlockRelation::Base {
-                table: "Department".into(),
-                qualifier: "D".into(),
-                schema: schema_d,
-            },
-        ]);
-        b.predicate = vec![Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID"))];
-        b.group_by = vec![
-            ColumnRef::qualified("D", "DeptID"),
-            ColumnRef::qualified("D", "Name"),
-        ];
-        b.aggregates = vec![(
-            gbj_expr::AggregateCall::new(
-                gbj_expr::AggregateFunction::Count,
-                Expr::col("E", "EmpID"),
-            ),
-            "cnt".into(),
-        )];
-        b.select = vec![
-            SelectItem::Column {
-                col: ColumnRef::qualified("D", "DeptID"),
-                alias: "DeptID".into(),
-            },
-            SelectItem::Aggregate { index: 0 },
-        ];
-        Partition::minimal(&b).unwrap()
-    }
-
-    fn tables() -> Vec<(String, String)> {
-        vec![
-            ("E".into(), "Employee".into()),
-            ("D".into(), "Department".into()),
-        ]
-    }
-
     #[test]
     fn ndv_and_rows() {
         let s = setup();
@@ -720,25 +528,6 @@ mod tests {
         assert_eq!(est.column_ndv("Employee", "DeptID"), 10.0);
         assert_eq!(est.column_ndv("Employee", "EmpID"), 1000.0);
         assert_eq!(est.column_ndv("Employee", "Nope"), 1.0);
-    }
-
-    #[test]
-    fn example1_estimates_match_intuition() {
-        let s = setup();
-        let est = Estimator::new(&s);
-        let stats = est.estimate(&example1_partition(), &tables());
-        assert_eq!(stats.r1_rows, 1000.0);
-        assert_eq!(stats.r2_rows, 10.0);
-        assert_eq!(stats.r1_groups, 10.0, "10 distinct E.DeptID values");
-        // Join selectivity 1/max(10,10) = 0.1 → 1000×10×0.1 = 1000.
-        assert_eq!(stats.join_rows, 1000.0);
-        // Name is perfectly correlated with DeptID; the joint KMV
-        // sketch sees the real pair count (10), where the old
-        // independence-assuming Π ndv produced 100.
-        assert_eq!(stats.final_groups, 10.0);
-        // The cost model then prefers the eager plan here.
-        let model = gbj_core::CostModel::default();
-        assert!(model.should_transform(&stats));
     }
 
     #[test]
@@ -776,7 +565,7 @@ mod tests {
                 right: Box::new(scan_d),
                 condition: Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID")),
             }),
-            group_by: vec![Expr::col("D", "DeptID")],
+            group_by: vec![Expr::col("D", "DeptID"), Expr::col("D", "Name")],
             aggregates: vec![(
                 gbj_expr::AggregateCall::new(
                     gbj_expr::AggregateFunction::Count,
@@ -786,7 +575,10 @@ mod tests {
             )],
         };
         let e = est.estimate_plan(&plan);
-        assert_eq!(e.rows, 10.0, "10 distinct D.DeptID groups");
+        // Name is perfectly correlated with DeptID: the joint KMV
+        // sketch sees the 10 real pairs, not the independence product
+        // min(1000, 10 × 10) = 100.
+        assert_eq!(e.rows, 10.0, "10 distinct (D.DeptID, D.Name) groups");
         assert_eq!(e.children.len(), 1);
         let join = &e.children[0];
         // 1000 × 10 × 1/max(10,10) = 1000.
@@ -840,5 +632,36 @@ mod tests {
         s.insert("T", vec![Value::Int(1)]).unwrap();
         let est = Estimator::new(&s);
         assert_eq!(est.column_ndv("T", "x"), 2.0);
+    }
+
+    /// Clamping takes the node-wise minimum with a bound tree;
+    /// `INFINITY` bounds (unknown) leave the estimate alone.
+    #[test]
+    fn clamp_is_nodewise_min_with_infinity_as_no_bound() {
+        let leaf = |rows: f64| PlanEstimate {
+            label: "Scan".into(),
+            rows,
+            children: vec![],
+        };
+        let mut est = PlanEstimate {
+            label: "Join".into(),
+            rows: 100.0,
+            children: vec![leaf(50.0), leaf(8.0)],
+        };
+        let bound = CardTree {
+            rows: 10.0,
+            children: vec![CardTree::leaf(f64::INFINITY), CardTree::leaf(3.0)],
+        };
+        est.clamp(&bound);
+        assert_eq!(est.rows, 10.0);
+        assert_eq!(est.children[0].rows, 50.0, "unbounded child unchanged");
+        assert_eq!(est.children[1].rows, 3.0);
+        assert_eq!(
+            est.card_tree(),
+            CardTree {
+                rows: 10.0,
+                children: vec![CardTree::leaf(50.0), CardTree::leaf(3.0)],
+            }
+        );
     }
 }

@@ -5,11 +5,10 @@ use std::num::NonZeroUsize;
 
 use gbj_expr::Expr;
 use gbj_plan::LogicalPlan;
-use gbj_storage::Storage;
+use gbj_storage::{ColumnarBatch, Storage};
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
 use crate::aggregate::{hash_aggregate_with_keys, sort_aggregate, CompiledAggregate};
-use crate::batch::ColumnarBatch;
 use crate::guard::{ResourceGuard, ResourceLimits};
 use crate::join::{hash_join_with_keys, nested_loop_join, sort_merge_join, split_equi_keys};
 use crate::metrics::MetricsSink;

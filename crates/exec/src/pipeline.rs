@@ -43,10 +43,10 @@ use std::sync::Arc;
 
 use gbj_expr::{Accumulator, BoundExpr, Expr};
 use gbj_plan::LogicalPlan;
+use gbj_storage::{Bitmap, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
 use crate::aggregate::{CompiledAggregate, ACC_ENTRY_BYTES};
-use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use crate::executor::{input_batches, AggAlgo, ExecOptions, Executor, JoinAlgo};
 use crate::guard::{row_bytes, ResourceGuard};
 use crate::join::{split_equi_keys, EquiKey};
@@ -1270,7 +1270,7 @@ mod tests {
 
     #[test]
     fn concat_columns_merges_shared_dictionaries_code_native() {
-        let mut b = crate::batch::StringDictBuilder::default();
+        let mut b = gbj_storage::StringDictBuilder::default();
         let c0 = b.intern("x").unwrap();
         let c1 = b.intern("y").unwrap();
         let dict = Arc::new(b.finish());

@@ -28,9 +28,9 @@
 use std::borrow::Cow;
 
 use gbj_expr::{compare_values, ordering_truth, value_to_truth, BinaryOp, BoundExpr};
+use gbj_storage::{Bitmap, ColumnVector, ColumnarBatch};
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
-use crate::batch::{Bitmap, ColumnVector, ColumnarBatch};
 use crate::metrics::MetricsSink;
 use crate::parallel::morsel_rows;
 
@@ -775,7 +775,7 @@ mod tests {
 
     #[test]
     fn dict_kernels_match_decoded_strings() {
-        use crate::batch::{StringDictBuilder, NULL_CODE};
+        use gbj_storage::{StringDictBuilder, NULL_CODE};
         use std::sync::Arc;
 
         let dict = {

@@ -1,17 +1,19 @@
-//! Shape-level costing of fully lowered plans.
+//! Shape-level costing of fully lowered plans: the engine's only cost
+//! model.
 //!
-//! [`gbj_core::CostModel`] encodes the Section 7 trade-off over one
-//! abstract grouped-join query (five summary cardinalities). After PR 8
-//! the engine costs the *actual lowered plan trees* instead: the lazy
-//! and eager candidates are both optimized to their physical-ready
-//! shape, a per-node cardinality estimate is attached to each
-//! ([`CardTree`], shape-congruent with the plan), and [`shape_cost`]
-//! folds the same per-row constants over every operator the executor
-//! will really run. This keeps the §7 decision (join-input shrinkage
-//! vs. group-input growth, the duplicate-factor term) while also
-//! charging for whatever else the optimizer produced — extra
-//! projections cost nothing, but every scan, filter, sort, join and
-//! aggregation touch is itemised.
+//! [`gbj_core::CostModel`] is the paper's analytic Section 7 formula
+//! over one abstract grouped-join query (five summary cardinalities);
+//! the X10 experiment evaluates it, and its per-row constants are the
+//! ones used here. The engine costs the *actual lowered plan trees*:
+//! the lazy and eager candidates are both optimized to their
+//! physical-ready shape, a per-node cardinality estimate is attached to
+//! each ([`CardTree`], shape-congruent with the plan), and
+//! [`shape_cost`] folds the same per-row constants over every operator
+//! the executor will really run. This keeps the §7 decision
+//! (join-input shrinkage vs. group-input growth, the duplicate-factor
+//! term) while also charging for whatever else the optimizer produced —
+//! extra projections cost nothing, but every scan, filter, sort, join
+//! and aggregation touch is itemised.
 //!
 //! The optimizer crate cannot see the engine's `Estimator` (the engine
 //! depends on the optimizer, not vice versa), so callers supply the
@@ -39,21 +41,6 @@ impl CardTree {
         CardTree {
             rows,
             children: vec![],
-        }
-    }
-
-    /// Clamp every node's estimate to a proven upper bound from a
-    /// shape-congruent bound tree (`INFINITY` = no bound at that node).
-    /// Bounds are upper bounds on the *true* cardinality, so
-    /// `min(estimate, bound)` can only move estimates toward the truth
-    /// — costs folded over a clamped tree never charge an operator more
-    /// input than it can possibly receive.
-    pub fn clamp(&mut self, bound: &CardTree) {
-        if bound.rows.is_finite() && self.rows > bound.rows {
-            self.rows = bound.rows;
-        }
-        for (child, b) in self.children.iter_mut().zip(&bound.children) {
-            child.clamp(b);
         }
     }
 }
@@ -384,23 +371,5 @@ mod tests {
         // Sort touch (7) + scan touch (7); projection adds nothing.
         assert_eq!(cost.scan_rows, 14.0);
         assert_eq!(cost.total, 14.0);
-    }
-
-    /// Clamping takes the node-wise minimum with a bound tree;
-    /// `INFINITY` bounds (unknown) leave the estimate alone.
-    #[test]
-    fn clamp_is_nodewise_min_with_infinity_as_no_bound() {
-        let mut card = CardTree {
-            rows: 100.0,
-            children: vec![CardTree::leaf(50.0), CardTree::leaf(8.0)],
-        };
-        let bound = CardTree {
-            rows: 10.0,
-            children: vec![CardTree::leaf(f64::INFINITY), CardTree::leaf(3.0)],
-        };
-        card.clamp(&bound);
-        assert_eq!(card.rows, 10.0);
-        assert_eq!(card.children[0].rows, 50.0, "unbounded child unchanged");
-        assert_eq!(card.children[1].rows, 3.0);
     }
 }

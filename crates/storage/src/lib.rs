@@ -32,6 +32,7 @@
 pub mod columnar;
 pub mod fault;
 pub mod sharded;
+pub mod stats;
 mod storage;
 mod table;
 
@@ -40,5 +41,6 @@ pub use columnar::{
 };
 pub use fault::{FaultConfig, FaultInjector};
 pub use sharded::ShardedTable;
+pub use stats::{ColumnStats, EquiDepthHistogram, TableStats};
 pub use storage::{ScanCursor, Storage};
 pub use table::{Row, Table};

@@ -2,9 +2,11 @@
 //! hash indexes over declared keys.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gbj_types::{Error, GroupKey, Result, Schema, Value};
+
+use crate::stats::TableStats;
 
 /// A stored row: its implicit RowID plus the column values.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +52,9 @@ pub struct Table {
     /// referenced column ordinals, tagged with the generation they were
     /// built at. Built lazily, maintained incrementally on insert.
     ref_lookups: HashMap<Vec<usize>, (u64, HashSet<GroupKey>)>,
+    /// The column statistics of this version, built on first read.
+    /// Clones share the cell until either side writes.
+    stats: Arc<OnceLock<TableStats>>,
 }
 
 impl Clone for Table {
@@ -64,6 +69,7 @@ impl Clone for Table {
             // stale generation tag would force a rebuild anyway, and
             // dropping it keeps snapshots cheap.
             ref_lookups: HashMap::new(),
+            stats: Arc::clone(&self.stats),
         }
     }
 }
@@ -88,6 +94,7 @@ impl Table {
             generation: 0,
             key_indexes: Vec::new(),
             ref_lookups: HashMap::new(),
+            stats: Arc::default(),
         }
     }
 
@@ -129,6 +136,24 @@ impl Table {
         self.rows.iter().map(|r| r.values.as_slice())
     }
 
+    /// The column statistics of the current rows, built by one scan on
+    /// the first call after a write and shared with clones taken since.
+    #[must_use]
+    pub fn stats(&self) -> &TableStats {
+        self.stats.get_or_init(|| TableStats::build(self))
+    }
+
+    /// Drop the statistics of the previous version: cleared in place
+    /// when no clone shares them, detached from the clones otherwise.
+    fn invalidate_stats(&mut self) {
+        match Arc::get_mut(&mut self.stats) {
+            Some(cell) => {
+                cell.take();
+            }
+            None => self.stats = Arc::default(),
+        }
+    }
+
     /// The stored rows as a slice (for batched scan cursors).
     pub(crate) fn raw_rows(&self) -> &[Row] {
         &self.rows
@@ -168,6 +193,7 @@ impl Table {
             }
         }
         self.generation += 1;
+        self.invalidate_stats();
         // Keep current lookup sets current (incremental maintenance).
         for (cols, (gen, set)) in &mut self.ref_lookups {
             let key_vals: Vec<Value> = cols.iter().map(|&c| val_at(&values, c)).collect();
@@ -206,6 +232,7 @@ impl Table {
             idx.entries = Arc::new(entries);
         }
         self.generation += 1;
+        self.invalidate_stats();
         self.rows = Arc::new(rows);
     }
 
@@ -353,6 +380,21 @@ mod tests {
         assert!(snap.check_keys(&[Value::Int(1), Value::Null]).is_err());
         assert!(snap.contains_key_value(&[0], &[Value::Int(1)]));
         assert!(t.check_keys(&[Value::Int(1), Value::Null]).is_ok());
+    }
+
+    #[test]
+    fn stats_are_shared_by_clones_until_a_write() {
+        let mut t = Table::new(schema());
+        t.push(vec![Value::Int(1), Value::Null]);
+        let snap = t.clone();
+        assert!(std::ptr::eq(t.stats(), snap.stats()), "one build, shared");
+        t.push(vec![Value::Int(2), Value::Int(4)]);
+        assert!(!std::ptr::eq(t.stats(), snap.stats()));
+        assert_eq!((snap.stats().rows, t.stats().rows), (1, 2));
+        assert_eq!(*t.stats(), TableStats::build(&t));
+        t.replace_rows(Vec::new());
+        assert_eq!(t.stats().rows, 0);
+        assert_eq!(snap.stats().rows, 1, "the snapshot keeps its version");
     }
 
     #[test]

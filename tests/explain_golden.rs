@@ -44,7 +44,13 @@ fn explain_shows_choice_costs_and_every_plan_node() {
     let (mut db, sql) = build();
     db.options_mut().policy = PushdownPolicy::CostBased;
     let text = explain_text(&mut db, &format!("EXPLAIN {sql}"));
-    for needle in ["choice:", "reason:", "cost: lazy=", "TestFD:", "plan:"] {
+    for needle in [
+        "choice:",
+        "reason:",
+        "shape cost: lazy=",
+        "TestFD:",
+        "plan:",
+    ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
     for node in [
@@ -154,8 +160,18 @@ fn explain_carries_deterministic_shape_cost_rationale() {
             rationale[0]
         );
     }
-    // The block-level §7 cost line stays alongside the shape costs.
-    assert!(text.contains("cost: lazy="), "block cost line in:\n{text}");
+    // The shape costs are the only cost lines: the block-level §7
+    // `estimates:` and `cost:` lines are gone.
+    assert!(
+        text.lines().any(|l| l.starts_with("shape cost: lazy=")),
+        "shape cost line in:\n{text}"
+    );
+    assert!(
+        !text
+            .lines()
+            .any(|l| l.starts_with("cost: ") || l.starts_with("estimates: ")),
+        "no block-level lines in:\n{text}"
+    );
 
     for run in 0..3 {
         let again = explain_text(&mut db, &explain);

@@ -26,9 +26,10 @@ mod common;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
+use gbj::engine::{Estimator, PushdownPolicy};
 use gbj::exec::CancellationToken;
 use gbj::server::{with_retry, AdmissionConfig, QueryOpts, RetryPolicy, Server, ServerConfig};
-use gbj::storage::{FaultConfig, FaultInjector};
+use gbj::storage::{FaultConfig, FaultInjector, TableStats};
 use gbj::{Database, Error, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +87,34 @@ fn assert_typed(e: &Error) {
         | Error::Constraint(_) => {}
         other => panic!("unexpected error class under chaos: {other}"),
     }
+}
+
+/// Build every table's column statistics, so a later write has a
+/// cached summary to invalidate.
+fn warm_stats(db: &Database) {
+    for def in db.catalog().tables() {
+        let _ = db.storage().table_data(&def.name).unwrap().stats();
+    }
+}
+
+/// Every table's cached column statistics equal a from-scratch
+/// recompute over its current rows.
+fn assert_stats_coherent(db: &Database, at: &str) {
+    for def in db.catalog().tables() {
+        let table = db.storage().table_data(&def.name).unwrap();
+        assert_eq!(
+            *table.stats(),
+            TableStats::build(table),
+            "{at}: cached stats of {} are stale",
+            def.name
+        );
+    }
+}
+
+/// The address of a table's cached column statistics (pointer
+/// identity tells a shared summary from a rebuilt one).
+fn stats_ptr(db: &Database, table: &str) -> *const TableStats {
+    db.storage().table_data(table).unwrap().stats()
 }
 
 /// One successful snapshot read, as observed by a chaos client.
@@ -242,9 +271,11 @@ fn chaos_round(clients: usize, seed: u64) {
     boundaries.insert(replay.epoch());
     check(&replay, replay.epoch());
     for op in &log {
+        warm_stats(&replay);
         // Failures (the deliberate duplicate keys) are part of the
         // recorded history: the committed prefix is what matters.
         let _ = replay.run_script(&op.sql);
+        assert_stats_coherent(&replay, &format!("replay seq {}", op.seq));
         assert_eq!(
             replay.epoch(),
             op.epoch_after,
@@ -261,6 +292,9 @@ fn chaos_round(clients: usize, seed: u64) {
             "a query observed epoch {epoch}, which is not a script boundary: torn snapshot"
         );
     }
+
+    // Stats the concurrent snapshots built and shared match the rows.
+    server.with_snapshot(|db| assert_stats_coherent(db, "final snapshot"));
 
     // The storm's outcomes are fully accounted for: every successful
     // read became an observation, every committing script a log entry,
@@ -461,54 +495,155 @@ fn mid_query_cancellation_is_typed() {
     assert!(server.metrics().cancelled >= 1);
 }
 
-/// Satellite (d): a cached plan must produce byte-identical rows to a
-/// fresh plan of the same SQL — across the whole read mix, and across
-/// an epoch change that invalidates the cache.
+/// A cached plan must produce byte-identical rows to a fresh plan of
+/// the same SQL — across the whole read mix, every pushdown policy
+/// with clamps on and off, and an epoch change that invalidates the
+/// cache. A cache hit audits against the estimate made when the plan
+/// was cached, which equals a fresh clamped estimate at the same plan
+/// epoch.
 #[test]
 fn cached_plans_are_byte_identical_to_fresh_planned() {
-    let cached = Server::with_database(seed_db(), ServerConfig::default().with_plan_cache(16));
-    let fresh = Server::with_database(seed_db(), ServerConfig::default()); // capacity 0
-    let cs = cached.connect();
-    let fs = fresh.connect();
+    for policy in [
+        PushdownPolicy::CostBased,
+        PushdownPolicy::Always,
+        PushdownPolicy::Never,
+    ] {
+        for clamp in [true, false] {
+            let db = || {
+                let mut db = seed_db();
+                db.options_mut().policy = policy;
+                db.options_mut().clamp_estimates = clamp;
+                db
+            };
+            let cached = Server::with_database(db(), ServerConfig::default().with_plan_cache(16));
+            let fresh = Server::with_database(db(), ServerConfig::default()); // capacity 0
+            let cs = cached.connect();
+            let fs = fresh.connect();
+            let cell = format!("{policy:?} clamp={clamp}");
 
-    for sql in QUERIES {
-        let miss = cs.query(sql).unwrap();
-        assert!(!miss.cache_hit, "first sight of `{sql}` cannot hit");
-        let hit = cs.query(sql).unwrap();
-        assert!(
-            hit.cache_hit,
-            "second run of `{sql}` at the same epoch must hit"
-        );
-        let f = fs.query(sql).unwrap();
-        assert!(!f.cache_hit, "cache disabled on the fresh server");
+            for sql in QUERIES {
+                let miss = cs.query(sql).unwrap();
+                assert!(!miss.cache_hit, "{cell}: first sight of `{sql}` cannot hit");
+                let hit = cs.query(sql).unwrap();
+                assert!(
+                    hit.cache_hit,
+                    "{cell}: second run of `{sql}` at the same epoch must hit"
+                );
+                let f = fs.query(sql).unwrap();
+                assert!(!f.cache_hit, "cache disabled on the fresh server");
+                assert_eq!(
+                    hit.rows.sorted().rows,
+                    miss.rows.sorted().rows,
+                    "{cell} `{sql}`: cached plan diverged from its own fresh planning"
+                );
+                assert_eq!(
+                    hit.rows.sorted().rows,
+                    f.rows.sorted().rows,
+                    "{cell} `{sql}`: cached plan diverged from an uncached server"
+                );
+
+                assert_eq!(
+                    hit.metrics.estimates, hit.report.estimate,
+                    "{cell} `{sql}`: a cache hit audits against the planned estimate"
+                );
+                assert_eq!(hit.metrics.estimates, miss.metrics.estimates);
+                let recomputed = cached.with_snapshot(|db| {
+                    let feedback = db.feedback_snapshot();
+                    let mut estimate = Estimator::with_feedback(db.storage(), &feedback)
+                        .estimate_plan(&hit.report.plan);
+                    if clamp {
+                        estimate.clamp(&db.cardinality_bounds(&hit.report.plan));
+                    }
+                    (db.plan_epoch(), estimate)
+                });
+                assert_eq!(
+                    recomputed,
+                    (
+                        cached.with_snapshot(Database::plan_epoch),
+                        hit.metrics.estimates
+                    ),
+                    "{cell} `{sql}`: the cached estimate differs from a fresh one"
+                );
+            }
+            assert!(cached.plan_cache_len() > 0);
+
+            // An epoch change makes every cached plan unreachable; the
+            // next read re-plans and still matches the uncached server.
+            let write = "INSERT INTO Emp VALUES (9000, 3, 77)";
+            cs.execute_write(write).unwrap();
+            fs.execute_write(write).unwrap();
+            let after = cs.query(AGG).unwrap();
+            assert!(
+                !after.cache_hit,
+                "{cell}: epoch moved: the old plan must not be reused"
+            );
+            assert_eq!(
+                after.rows.sorted().rows,
+                fs.query(AGG).unwrap().rows.sorted().rows,
+                "{cell}: post-invalidation replan diverged from the uncached server"
+            );
+        }
+    }
+}
+
+/// A fork shares its parent's column statistics until either side
+/// writes the table; a write detaches only the writer's copy, and the
+/// summary each side then reads matches its own rows.
+#[test]
+fn forks_share_stats_until_either_side_writes() {
+    let mut parent = seed_db();
+    let mut child = parent.fork();
+    assert_eq!(stats_ptr(&parent, "Emp"), stats_ptr(&child, "Emp"));
+    assert_eq!(stats_ptr(&parent, "Dept"), stats_ptr(&child, "Dept"));
+
+    child
+        .execute("UPDATE Emp SET Sal = 5 WHERE EmpId = 3")
+        .unwrap();
+    assert_ne!(stats_ptr(&parent, "Emp"), stats_ptr(&child, "Emp"));
+    assert_eq!(
+        stats_ptr(&parent, "Dept"),
+        stats_ptr(&child, "Dept"),
+        "a table neither side wrote stays shared"
+    );
+
+    parent.execute("INSERT INTO Dept VALUES (8, 800)").unwrap();
+    assert_ne!(stats_ptr(&parent, "Dept"), stats_ptr(&child, "Dept"));
+    assert_eq!(parent.storage().table_data("Dept").unwrap().stats().rows, 9);
+    assert_eq!(child.storage().table_data("Dept").unwrap().stats().rows, 8);
+    assert_stats_coherent(&parent, "parent");
+    assert_stats_coherent(&child, "child");
+}
+
+/// A write that fails, and a DELETE or UPDATE that matches no row,
+/// commit nothing: the table keeps its summary (still shared with a
+/// fork taken before) and the epoch does not move.
+#[test]
+fn failed_and_no_op_writes_keep_the_stats() {
+    let mut db = seed_db();
+    warm_stats(&db);
+    let witness = db.fork();
+    let epoch = db.epoch();
+    for sql in [
+        "INSERT INTO Emp VALUES (0, 0, 0)",
+        "UPDATE Emp SET DeptId = NULL WHERE EmpId = 1",
+        "INSERT INTO Dept VALUES (9, NULL)",
+    ] {
+        assert!(db.execute(sql).is_err(), "`{sql}` must fail");
+    }
+    for sql in [
+        "DELETE FROM Emp WHERE EmpId < 0",
+        "UPDATE Emp SET Sal = 1 WHERE EmpId < 0",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    assert_eq!(db.epoch(), epoch, "nothing committed");
+    for table in ["Emp", "Dept"] {
         assert_eq!(
-            hit.rows.sorted().rows,
-            miss.rows.sorted().rows,
-            "`{sql}`: cached plan diverged from its own fresh planning"
-        );
-        assert_eq!(
-            hit.rows.sorted().rows,
-            f.rows.sorted().rows,
-            "`{sql}`: cached plan diverged from an uncached server"
+            stats_ptr(&db, table),
+            stats_ptr(&witness, table),
+            "{table}: summary rebuilt without a commit"
         );
     }
-    assert!(cached.plan_cache_len() > 0);
-
-    // An epoch change makes every cached plan unreachable; the next
-    // read re-plans and still matches the uncached server.
-    let write = "INSERT INTO Emp VALUES (9000, 3, 77)";
-    cs.execute_write(write).unwrap();
-    fs.execute_write(write).unwrap();
-    let after = cs.query(AGG).unwrap();
-    assert!(
-        !after.cache_hit,
-        "epoch moved: the old plan must not be reused"
-    );
-    assert_eq!(
-        after.rows.sorted().rows,
-        fs.query(AGG).unwrap().rows.sorted().rows,
-        "post-invalidation replan diverged from the uncached server"
-    );
 }
 
 /// A stats-feedback absorption bumps the *plan* epoch (data epoch
